@@ -22,7 +22,9 @@ naming the wiring attributes to skip.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, FrozenSet, Iterator, Mapping, Protocol, runtime_checkable
+from typing import (
+    Any, Dict, FrozenSet, Iterator, Mapping, Protocol, Tuple, runtime_checkable,
+)
 
 
 @runtime_checkable
@@ -52,14 +54,64 @@ def iter_state_attrs(obj: Any) -> Iterator[str]:
             yield name
 
 
+def _canonical(value: Any, memo: Dict[int, Tuple[Any, Any]]) -> Any:
+    """``value`` with every set in it rebuilt from its sorted members.
+
+    A set pickles in hash-table order, and that order depends on the
+    table's insertion/deletion history, not only on its members: a deep
+    copy or a restore rebuilds the table, so two equal sets can pickle
+    to different bytes.  Rebuilding from the sorted members makes equal
+    sets pickle identically.  Sets whose members do not sort are left
+    as they are.
+
+    Walks dicts, lists and the instance ``__dict__`` of non-builtin
+    objects (a SACK sender's scoreboard holds its sets one level down),
+    replacing sets in place.  ``value`` must be a private deep copy.
+    ``memo`` maps ``id`` to ``(original, canonical)``: it keeps shared
+    references shared, ends cycles, and holds each original alive so
+    its ``id`` cannot be reused mid-walk.
+    """
+    seen = memo.get(id(value))
+    if seen is not None:
+        return seen[1]
+    kind = type(value)
+    if kind is set or kind is frozenset:
+        try:
+            result = kind(sorted(value))
+        except TypeError:
+            result = value
+        memo[id(value)] = (value, result)
+        return result
+    memo[id(value)] = (value, value)
+    if kind is list:
+        for index, item in enumerate(value):
+            value[index] = _canonical(item, memo)
+        return value
+    if kind is dict:
+        fields = value
+    elif kind.__module__ == "builtins":
+        return value
+    else:
+        fields = getattr(value, "__dict__", None)
+        if fields is None:
+            return value
+    for key, item in fields.items():
+        fields[key] = _canonical(item, memo)
+    return value
+
+
 def snapshot_object(obj: Any, exclude: FrozenSet[str] = frozenset()) -> Dict[str, Any]:
-    """Generic :meth:`StatefulComponent.snapshot_state` implementation."""
+    """Generic :meth:`StatefulComponent.snapshot_state` implementation.
+
+    Equal state snapshots to equal pickled bytes: every set in the
+    snapshot is stored in a canonical order (see :func:`_canonical`).
+    """
     state: Dict[str, Any] = {}
     for name in iter_state_attrs(obj):
         if name in exclude or not hasattr(obj, name):
             continue
         state[name] = copy.deepcopy(getattr(obj, name))
-    return state
+    return _canonical(state, {})
 
 
 def restore_object(obj: Any, state: Mapping[str, Any]) -> None:

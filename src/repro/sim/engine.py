@@ -58,8 +58,9 @@ _INF = float("inf")
 _HeapEntry = Tuple[float, int, Any, Optional[Tuple[Any, ...]], str]
 
 # Bound once: a module-global load is one dict probe cheaper than
-# ``heapq.heappush`` (global + attribute) in the per-event schedulers.
+# ``heapq.heappush`` (global + attribute) in the per-event paths.
 _heappush = heapq.heappush
+_heappop = heapq.heappop
 
 #: The compiled ``Simulator`` subclass from ``repro._cext._core``, or
 #: None when the pure engine is active.  Written only by
@@ -91,8 +92,9 @@ class Simulator:
             TCP-PR sender reads this flag).  A violation raises
             :class:`~repro.sim.errors.InvariantViolation` at the moment
             the invariant breaks rather than letting the run diverge
-            silently.  Off by default — sanitizing forces the general
-            (non-fast-path) run loop.
+            silently.  Off by default — the checks add periodic O(heap)
+            audits to the one Python loop over :meth:`_pop_due`, and on
+            the compiled build they move the run off the C fast loop.
 
     Attributes:
         now: Current simulation time in seconds.
@@ -396,9 +398,9 @@ class Simulator:
         # use the local.)
         dispatched = self._dispatched
         try:
-            heap = self._heap
-            pop = heapq.heappop
-            handle_type = EventHandle
+            # The one per-event primitive each build supplies: the pure
+            # method below, or the C override on the compiled class.
+            pop_due = self._pop_due
             # Hoisted: the detached-profiling cost inside the loop is one
             # local-variable None check per event.
             profile = self._profile
@@ -406,93 +408,11 @@ class Simulator:
             sanitize = self.sanitize
             if sanitize:
                 self._audit_live()
-            if (
-                max_events is None
-                and deadline is None
-                and livelock_threshold is None
-                and profile is None
-                and not sanitize
-            ):
-                # Fast path: no watchdogs, no profiling — the per-event
-                # work is exactly pop, clock advance, callback.  This is
-                # the configuration every figure run uses, so the general
-                # loop's four per-event None checks are worth forking
-                # over.
-                if until is None:
-                    # Drain-the-queue flavour: nothing can stop short of
-                    # an empty heap, so pop directly instead of peeking
-                    # first (saves an index plus a compare per event).
-                    while heap:
-                        head_time, _, target, args, _ = pop(heap)
-                        if type(target) is handle_type:
-                            callback = target.callback
-                            if callback is None:  # cancelled
-                                continue
-                            target.callback = None
-                        else:
-                            callback = target
-                        self._live -= 1
-                        self.now = head_time
-                        if args is None:
-                            callback()
-                        elif len(args) == 1:
-                            callback(args[0])
-                        else:
-                            callback(*args)
-                        dispatched += 1
-                    return
-                while heap:
-                    entry = heap[0]
-                    target = entry[2]
-                    if type(target) is handle_type:
-                        callback = target.callback
-                        if callback is None:  # lazily-deleted (cancelled)
-                            pop(heap)
-                            continue
-                        if entry[0] > until_cmp:
-                            break
-                        pop(heap)
-                        target.callback = None  # mark dispatched
-                    else:
-                        callback = target
-                        if entry[0] > until_cmp:
-                            break
-                        pop(heap)
-                    self._live -= 1
-                    self.now = entry[0]
-                    args = entry[3]
-                    # One-arg events (a packet) are the overwhelming
-                    # majority; a direct call skips CALL_FUNCTION_EX.
-                    if args is None:
-                        callback()
-                    elif len(args) == 1:
-                        callback(args[0])
-                    else:
-                        callback(*args)
-                    dispatched += 1
-                if until is not None and self.now < until:
-                    self.now = until
-                return
-            while heap:
-                entry = heap[0]
-                target = entry[2]
-                if type(target) is handle_type:
-                    callback = target.callback
-                    if callback is None:  # lazily-deleted (cancelled)
-                        pop(heap)
-                        continue
-                    head_time = entry[0]
-                    if head_time > until_cmp:
-                        break
-                    pop(heap)
-                    target.callback = None  # mark dispatched
-                else:
-                    callback = target
-                    head_time = entry[0]
-                    if head_time > until_cmp:
-                        break
-                    pop(heap)
-                self._live -= 1
+            while True:
+                popped = pop_due(until_cmp)
+                if popped is None:
+                    break
+                head_time, callback, args, label = popped
                 if livelock_threshold is not None:
                     if head_time > self.now:
                         stalled = 0
@@ -508,10 +428,13 @@ class Simulator:
                         "mutated behind the engine's back)",
                     )
                 self.now = head_time
-                args = entry[3]
                 if profile is None:
+                    # One-arg events (a packet) are the overwhelming
+                    # majority; a direct call skips CALL_FUNCTION_EX.
                     if args is None:
                         callback()
+                    elif len(args) == 1:
+                        callback(args[0])
                     else:
                         callback(*args)
                 else:
@@ -520,9 +443,7 @@ class Simulator:
                         callback()
                     else:
                         callback(*args)
-                    profile.record(
-                        entry[4], _time.perf_counter() - started
-                    )
+                    profile.record(label, _time.perf_counter() - started)
                 dispatched += 1
                 if sanitize and dispatched % _SANITIZE_AUDIT_INTERVAL == 0:
                     self._audit_live()
@@ -538,7 +459,7 @@ class Simulator:
                     raise DeadlineExceededError(
                         deadline, self.now, dispatched
                     )
-            if sanitize and not heap:
+            if sanitize and not self._heap:
                 self._audit_live()  # drained heap must leave _live == 0
             if until is not None and self.now < until:
                 self.now = until
@@ -549,34 +470,31 @@ class Simulator:
     def _pop_due(self, until_cmp: float) -> Optional[Tuple[Any, ...]]:
         """Pop the next live event due at or before ``until_cmp``.
 
-        Primitive for the compiled engine's general run loop (see
-        :func:`_run_general_compiled`); the compiled class overrides it
-        in C.  Pops lazily-deleted (cancelled) heads on the way, marks
-        handle-backed events dispatched, and decrements the live
-        counter — everything the run loops do *before* advancing the
-        clock.  Returns ``(time, callback, args, label)`` or None when
-        nothing is due.
+        The per-event primitive of :meth:`run`; the compiled class
+        overrides it in C.  Pops lazily-deleted (cancelled) heads on the
+        way, marks handle-backed events dispatched, and decrements the
+        live counter — everything :meth:`run` does *before* advancing
+        the clock.  Returns ``(time, callback, args, label)`` or None
+        when nothing is due.
         """
         heap = self._heap
         while heap:
-            entry = heap[0]
-            target = entry[2]
+            time, _, target, args, label = heap[0]
             if type(target) is EventHandle:
                 callback = target.callback
                 if callback is None:  # lazily-deleted (cancelled)
-                    heapq.heappop(heap)
+                    _heappop(heap)
                     continue
-                if entry[0] > until_cmp:
+                if time > until_cmp:
                     return None
-                heapq.heappop(heap)
                 target.callback = None  # mark dispatched
+            elif time > until_cmp:
+                return None
             else:
                 callback = target
-                if entry[0] > until_cmp:
-                    return None
-                heapq.heappop(heap)
+            _heappop(heap)
             self._live -= 1
-            return (entry[0], callback, entry[3], entry[4])
+            return (time, callback, args, label)
         return None
 
     def _run_checkpointed(
@@ -691,41 +609,6 @@ class Simulator:
         """A copy of the name -> component registry."""
         return dict(self._components)
 
-    def step(self) -> bool:
-        """Dispatch the single next pending event.
-
-        Returns:
-            True if an event was dispatched, False if the queue is empty.
-        """
-        heap = self._heap
-        profile = self._profile
-        while heap:
-            head_time, _, target, args, label = heapq.heappop(heap)
-            if type(target) is EventHandle:
-                callback = target.callback
-                if callback is None:
-                    continue
-                target.callback = None
-            else:
-                callback = target
-            self._live -= 1
-            self.now = head_time
-            if profile is None:
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-            else:
-                started = _time.perf_counter()
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-                profile.record(label, _time.perf_counter() - started)
-            self._dispatched += 1
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Sanitizer
     # ------------------------------------------------------------------
@@ -809,7 +692,7 @@ class Simulator:
             target = heap[0][2]
             if type(target) is not EventHandle or target.callback is not None:
                 return heap[0][0]
-            heapq.heappop(heap)
+            _heappop(heap)
         return None
 
     def __repr__(self) -> str:
@@ -818,94 +701,3 @@ class Simulator:
             f"dispatched={self._dispatched}>"
         )
 
-
-def _run_general_compiled(
-    sim: "Simulator",
-    until: Optional[float],
-    max_events: Optional[int],
-    deadline: Optional[float],
-    livelock_threshold: Optional[int],
-) -> None:
-    """General (watchdog/profile/sanitize) run loop for the compiled engine.
-
-    The compiled ``Simulator.run`` handles only the fast paths in C and
-    delegates here — a line-for-line mirror of the pure general loop in
-    :meth:`Simulator.run` — whenever watchdogs, profiling, or the
-    sanitizer are in play.  The per-event pop/cancel/mark-dispatched
-    work runs through the C ``_pop_due`` primitive, so the cost of
-    keeping this path in Python is one Python-level iteration per
-    *dispatched* event, which the watchdog checks dominate anyway.
-    Checked-path semantics (error types, messages, check cadence,
-    counter staleness) are identical between the builds by construction.
-    """
-    if sim._running:
-        raise SimulationError("Simulator.run() is not reentrant")
-    if deadline is not None and deadline <= 0:
-        raise ValueError(f"deadline must be positive, got {deadline}")
-    if livelock_threshold is not None and livelock_threshold <= 0:
-        raise ValueError(
-            f"livelock_threshold must be positive, got {livelock_threshold}"
-        )
-    sim._running = True
-    started_wall = _time.monotonic() if deadline is not None else 0.0
-    stalled = 0
-    dispatched = sim._dispatched
-    try:
-        profile = sim._profile
-        until_cmp = _INF if until is None else until
-        sanitize = sim.sanitize
-        if sanitize:
-            sim._audit_live()
-        pop_due = sim._pop_due
-        while True:
-            popped = pop_due(until_cmp)
-            if popped is None:
-                break
-            head_time, callback, args, label = popped
-            if livelock_threshold is not None:
-                if head_time > sim.now:
-                    stalled = 0
-                else:
-                    stalled += 1
-                    if stalled >= livelock_threshold:
-                        raise LivelockError(head_time, stalled)
-            if sanitize and head_time < sim.now:
-                raise InvariantViolation(
-                    "heap-time-monotonic",
-                    f"heap head fires at t={head_time!r} but the clock "
-                    f"is already at t={sim.now!r} (heap or clock was "
-                    "mutated behind the engine's back)",
-                )
-            sim.now = head_time
-            if profile is None:
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-            else:
-                started = _time.perf_counter()
-                if args is None:
-                    callback()
-                else:
-                    callback(*args)
-                profile.record(label, _time.perf_counter() - started)
-            dispatched += 1
-            if sanitize and dispatched % _SANITIZE_AUDIT_INTERVAL == 0:
-                sim._audit_live()
-            if max_events is not None and dispatched >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted ({max_events} events)"
-                )
-            if (
-                deadline is not None
-                and dispatched % _DEADLINE_CHECK_INTERVAL == 0
-                and _time.monotonic() - started_wall > deadline
-            ):
-                raise DeadlineExceededError(deadline, sim.now, dispatched)
-        if sanitize and not sim._heap:
-            sim._audit_live()  # drained heap must leave _live == 0
-        if until is not None and sim.now < until:
-            sim.now = until
-    finally:
-        sim._dispatched = dispatched
-        sim._running = False

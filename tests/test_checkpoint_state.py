@@ -11,7 +11,7 @@ contract resume promises.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.app.bulk import BulkTransfer
 from repro.checkpoint import StatefulComponent, snapshot_object, restore_object
@@ -53,6 +53,9 @@ def _stateful_components(sim):
 )
 @_SETTINGS
 @given(seed=st.integers(0, 2**16), duration=st.floats(0.25, 1.5))
+# dsack-nm: the receiver's out-of-order set came back from a restore with
+# the same members in a different table order, so its bytes differed.
+@example(seed=0, duration=0.333984375)
 def test_snapshot_restore_is_identity(variant, seed, duration):
     sim = _scenario(variant, seed, duration).sim
     for name, comp in sorted(_stateful_components(sim).items()):
@@ -167,3 +170,33 @@ def test_peek_does_not_consume():
     before = packet_mod.peek_next_uid()
     assert packet_mod.peek_next_uid() == before
     assert Packet("data", src="a", dst="b", flow_id=1, seq=0).uid == before
+
+
+class _Board:
+    """A plain object holding a set, like a SACK sender's scoreboard."""
+
+    def __init__(self):
+        # Members 6..21 and 38 after deletions: a history whose set, deep
+        # copied twice, pickles in a different order than copied once.
+        self.window = set(range(22))
+        for seq in range(6):
+            self.window.discard(seq)
+        self.window.add(38)
+
+
+class _WithSets:
+    __slots__ = ("direct", "board")
+
+    def __init__(self):
+        self.direct = _Board().window
+        self.board = _Board()
+
+
+def test_equal_sets_snapshot_to_equal_bytes():
+    """A restore rebuilds every set's hash table; equal state must still
+    snapshot to equal bytes, for sets held directly and one level down."""
+    obj = _WithSets()
+    before = snapshot_object(obj, exclude=frozenset())
+    restore_object(obj, before)
+    after = snapshot_object(obj, exclude=frozenset())
+    assert codec.encode(after) == codec.encode(before)

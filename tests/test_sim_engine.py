@@ -1,9 +1,20 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine.
+
+This module runs on the pure build; ``test_sim_compiled.py`` reruns it
+on the compiled build.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import engine_select
 from repro.sim import ScheduleInPastError, SimulationError, Simulator
+
+
+@pytest.fixture(autouse=True)
+def _pure_engine():
+    with engine_select.use_engine("pure"):
+        yield
 
 
 def test_initial_state():
@@ -108,18 +119,6 @@ def test_cancel_during_run():
     sim.schedule(1.0, lambda: later.cancel())
     sim.run()
     assert fired == []
-
-
-def test_step_dispatches_one_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(2.0, lambda: fired.append(2))
-    assert sim.step() is True
-    assert fired == [1]
-    assert sim.step() is True
-    assert fired == [1, 2]
-    assert sim.step() is False
 
 
 def test_max_events_budget():

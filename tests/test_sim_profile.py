@@ -1,11 +1,23 @@
-"""Tests for simulator profiling (repro.sim.profile / Simulator.stats)."""
+"""Tests for simulator profiling (repro.sim.profile / Simulator.stats).
+
+This module runs on the pure build; ``test_sim_compiled.py`` reruns it
+on the compiled build, where a profiled run leaves the C fast loop for
+``Simulator.run``.
+"""
 
 import pytest
 
+from repro.core import engine_select
 from repro.sim import Simulator
 from repro.sim.profile import UNLABELED, SimProfile, build_stats, group_label
 
 from conftest import make_flow
+
+
+@pytest.fixture(autouse=True)
+def _pure_engine():
+    with engine_select.use_engine("pure"):
+        yield
 
 
 # ----------------------------------------------------------------------
