@@ -3,10 +3,10 @@
 Algorithm summary (Table 1 of the paper):
 
 * Packets live in two lists.  ``to-be-sent`` holds packets awaiting an
-  opening in the congestion window (here: a retransmission heap plus the
-  infinite bulk stream at ``snd_nxt``); ``to-be-ack`` holds packets in
-  flight, each stamped with its send time and the congestion window at
-  the time it was sent.
+  opening in the congestion window (here: a sorted list of declared
+  drops awaiting retransmission, then the infinite bulk stream at
+  ``snd_nxt``); ``to-be-ack`` holds packets in flight, each stamped with
+  its send time and the congestion window at the time it was sent.
 * **Loss detection uses only timers**: packet ``n`` is declared dropped
   at time ``t`` when ``t > time(n) + mxrtt``.  Duplicate ACKs are never
   counted.  ``mxrtt = beta * ewrtt`` where ewrtt is the max-tracking
@@ -47,8 +47,8 @@ Interpretation notes (under-specified points; see DESIGN.md §6):
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -181,21 +181,18 @@ class TcpPrSender(Agent):
         self.mode = SLOW_START
         self.cwnd: float = self.config.initial_cwnd
         self.ssthr: float = self.config.initial_ssthresh
-        #: seq -> (sent_time, cwnd_at_send, next_check, arm_stamp) for
-        #: packets in flight.  ``next_check`` is the quantized time the
-        #: packet's drop deadline is next examined; ``arm_stamp`` orders
-        #: same-tick examinations exactly like the per-packet timer
-        #: events they replace (see ``_sweep_drop_checks``).
-        self.to_be_ack: Dict[int, Tuple[float, float, float, int]] = {}
-        #: Min-heap of in-flight sequence numbers, pushed on every send
-        #: and popped lazily by ``_collect_acked`` — entries whose seq has
-        #: left ``to_be_ack`` (drop-declared, SACKed) are skipped on pop.
-        #: Turns the per-ACK cumulative scan from O(window) into
-        #: O(newly acked · log window).
-        self._inflight_heap: List[int] = []
-        #: Heap of sequence numbers awaiting retransmission.
-        self._retx_heap: List[int] = []
-        self._retx_pending: Set[int] = set()
+        #: seq -> (sent_time, cwnd_at_send, next_check, arm_stamp,
+        #: retransmitted) for packets in flight.  ``next_check`` is the
+        #: quantized time the packet's drop deadline is next examined;
+        #: ``arm_stamp`` orders same-tick examinations exactly like the
+        #: per-packet timer events they replace (see
+        #: ``_sweep_drop_checks``); ``retransmitted`` marks a resend,
+        #: whose ACK yields no RTT sample (Karn's rule).
+        self.to_be_ack: Dict[int, Tuple[float, float, float, int, bool]] = {}
+        #: Declared drops awaiting retransmission, ascending.  Nothing in
+        #: either list lies below ``cum_ack``, which is what lets an ACK
+        #: find its cumulatively acked packets by a range scan.
+        self.to_be_sent: List[int] = []
         self.snd_nxt = 0  # next never-sent segment
         self.cum_ack = 0  # highest cumulative ACK seen
         self.memorize: Set[int] = set()
@@ -204,7 +201,6 @@ class TcpPrSender(Agent):
         #: Metrics probe installed by repro.obs (None = not observed;
         #: every hook below is a single is-not-None check then).
         self.obs: Optional[Any] = None
-        self._retransmitted: Set[int] = set()
         #: Transient mxrtt inflation (Section 3.2).  The paper's update
         #: rule ``mxrtt := beta * ewrtt`` runs on every ACK, so a forced
         #: inflation only lasts until the next acknowledged packet.
@@ -241,9 +237,7 @@ class TcpPrSender(Agent):
         if total is None:
             return False
         return (
-            self.snd_nxt >= total
-            and not self.to_be_ack
-            and not self._retx_pending
+            self.snd_nxt >= total and not self.to_be_ack and not self.to_be_sent
         )
 
     @property
@@ -285,14 +279,9 @@ class TcpPrSender(Agent):
         """Packets newly acknowledged by this ACK (cumulative + SACK)."""
         ack = packet.ack
         to_be_ack = self.to_be_ack
-        inflight = self._inflight_heap
-        acked: List[int] = []
-        # Pops come out ascending, so a resent seq's duplicate heap
-        # entries are adjacent — the acked[-1] check dedupes them.
-        while inflight and inflight[0] < ack:
-            seq = heapq.heappop(inflight)
-            if seq in to_be_ack and (not acked or acked[-1] != seq):
-                acked.append(seq)
+        # Nothing in flight lies below cum_ack, so over the flow's life
+        # each seq is scanned by at most one cumulative ACK.
+        acked = [seq for seq in range(self.cum_ack, ack) if seq in to_be_ack]
         sacked: Set[int] = set()
         if self.config.use_sack_accounting and packet.sack_blocks:
             for start, end in packet.sack_blocks:
@@ -303,22 +292,23 @@ class TcpPrSender(Agent):
                             acked.append(seq)
         # Cancel pending retransmissions this ACK proves unnecessary
         # (the "dropped" packet reached the receiver after all).
-        if self._retx_pending:
-            for seq in list(self._retx_pending):
-                if seq < ack or seq in sacked:
-                    self._retx_pending.discard(seq)
-                    self.stats.spurious_drops += 1
+        to_be_sent = self.to_be_sent
+        if to_be_sent:
+            above = to_be_sent[bisect_left(to_be_sent, ack):]
+            kept = [seq for seq in above if seq not in sacked]
+            self.stats.spurious_drops += len(to_be_sent) - len(kept)
+            to_be_sent[:] = kept
         acked.sort()
         return acked
 
     def _process_acked_packet(self, seq: int) -> None:
         """Table 1, "ACK received for packet n" (run once per packet)."""
-        sent_time = self.to_be_ack.pop(seq)[0]
+        entry = self.to_be_ack.pop(seq)
         self.stats.packets_acked += 1
         # Lines 14-15: ewrtt/mxrtt update (skipped for retransmissions,
         # whose RTT sample would be ambiguous — Karn's rule).
-        if seq not in self._retransmitted:
-            sample = self.sim.now - sent_time
+        if not entry[4]:
+            sample = self.sim.now - entry[0]
             ewrtt = self.estimator.observe(sample, self.cwnd)
             if self.sim.sanitize and ewrtt < sample - 1e-9:
                 raise InvariantViolation(
@@ -327,8 +317,6 @@ class TcpPrSender(Agent):
                     f"{sample!r}: the estimator must track the maximum "
                     "(ewrtt = max(alpha^(1/cwnd) * ewrtt, sample))",
                 )
-        else:
-            self._retransmitted.discard(seq)
         # Lines 16-17: list removal.
         self._memorize_discard(seq)
         # Lines 18-23: window growth.
@@ -414,6 +402,7 @@ class TcpPrSender(Agent):
                     entry[1],
                     self._quantize(entry[0] + self.mxrtt),
                     self.sim.reserve_seq(),
+                    entry[4],
                 )
         if to_be_ack:
             self._arm_drop_timer(
@@ -428,7 +417,7 @@ class TcpPrSender(Agent):
         self.stats.drops_detected += 1
         if self.obs is not None:
             self.obs.on_loss(self)
-        self._queue_retransmission(seq)
+        insort(self.to_be_sent, seq)
         if seq in self.memorize:
             # Part of an already-reacted-to loss event: no window cut.
             self.stats.memorize_drops += 1
@@ -517,13 +506,22 @@ class TcpPrSender(Agent):
         ACK processing that precedes it, but not free, hence the flag.
         """
         to_be_ack = self.to_be_ack
-        overlap = self._retx_pending.intersection(to_be_ack)
+        overlap = to_be_ack.keys() & self.to_be_sent
         if overlap:
             raise InvariantViolation(
                 "pr-list-disjoint",
                 f"packets {sorted(overlap)!r} are simultaneously awaiting "
                 "retransmission (to-be-sent) and in flight (to-be-ack); "
                 "Table 1 moves a packet between the lists, never copies",
+            )
+        floor = self.cum_ack
+        below = [s for s in (*to_be_ack, *self.to_be_sent) if s < floor]
+        if below:
+            raise InvariantViolation(
+                "pr-window-floor",
+                f"packets {sorted(below)!r} are still listed below the "
+                f"cumulative ACK {floor}; the ACK that passed them "
+                "must remove them, or the cumulative range scan misses them",
             )
         stray = self.memorize.difference(to_be_ack)
         if stray:
@@ -566,11 +564,6 @@ class TcpPrSender(Agent):
     # ------------------------------------------------------------------
     # Send path (Table 1, flush-cwnd)
     # ------------------------------------------------------------------
-    def _queue_retransmission(self, seq: int) -> None:
-        if seq not in self._retx_pending:
-            self._retx_pending.add(seq)
-            heapq.heappush(self._retx_heap, seq)
-
     def _flush_cwnd(self) -> None:
         if self.sim.now < self._blocked_until:
             return
@@ -583,14 +576,8 @@ class TcpPrSender(Agent):
 
     def _next_seq(self) -> Optional[int]:
         """Smallest eligible sequence number (retransmissions first)."""
-        while self._retx_heap:
-            seq = self._retx_heap[0]
-            if seq not in self._retx_pending:
-                heapq.heappop(self._retx_heap)  # cancelled entry
-                continue
-            heapq.heappop(self._retx_heap)
-            self._retx_pending.discard(seq)
-            return seq
+        if self.to_be_sent:
+            return self.to_be_sent.pop(0)
         total = self.config.total_segments
         if total is not None and self.snd_nxt >= total:
             return None
@@ -600,7 +587,6 @@ class TcpPrSender(Agent):
         is_retransmit = seq < self.snd_nxt
         if is_retransmit:
             self.stats.retransmits += 1
-            self._retransmitted.add(seq)
             if self.obs is not None:
                 self.obs.on_retransmit(self)
         else:
@@ -608,8 +594,7 @@ class TcpPrSender(Agent):
         now = self.sim.now
         check = self._quantize(now + self.mxrtt)
         stamp = self.sim.reserve_seq()
-        self.to_be_ack[seq] = (now, self.cwnd, check, stamp)
-        heapq.heappush(self._inflight_heap, seq)
+        self.to_be_ack[seq] = (now, self.cwnd, check, stamp, is_retransmit)
         self._arm_drop_timer(check, stamp)
         self.stats.data_packets_sent += 1
         packet = Packet(

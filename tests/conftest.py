@@ -61,6 +61,7 @@ from repro.core import engine_select
 from repro.core.pr import PrConfig, TcpPrSender
 from repro.net.lossgen import LossModel
 from repro.net.network import Network, install_static_routes
+from repro.routing.multipath import EpsilonMultipathPolicy
 from repro.tcp.base import TcpConfig
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.registry import make_sender
@@ -132,6 +133,31 @@ def make_flow(
     )
     sender.start(start_at)
     return Flow(network=net, sender=sender, receiver=receiver)
+
+
+def make_reordering_flow(pr_config=None, seed=0, paths=2, bandwidth=1e7):
+    """A TCP-PR flow over two disjoint paths with ε=0 routing.
+
+    The paths have different propagation delays, so per-packet random
+    path choice persistently reorders both data and ACKs — the paper's
+    core scenario — without any packet loss (queues are deep).
+    """
+    net = Network(seed=seed)
+    net.add_nodes("snd", "rcv")
+    for k in range(paths):
+        mids = [f"p{k}m{i}" for i in range(k + 1)]
+        for m in mids:
+            net.add_node(m)
+        chain = ["snd", *mids, "rcv"]
+        for u, v in zip(chain, chain[1:]):
+            net.add_duplex_link(u, v, bandwidth=bandwidth, delay=0.01, queue=10_000)
+    install_static_routes(net)
+    EpsilonMultipathPolicy(net, "snd", epsilon=0.0, destinations=["rcv"]).install()
+    EpsilonMultipathPolicy(net, "rcv", epsilon=0.0, destinations=["snd"]).install()
+    sender = TcpPrSender(net.sim, net.node("snd"), 1, "rcv", pr_config)
+    receiver = TcpReceiver(net.sim, net.node("rcv"), 1, "snd")
+    sender.start(0.0)
+    return net, sender, receiver
 
 
 @pytest.fixture

@@ -1,15 +1,9 @@
-"""Tests for the removed legacy APIs: the ``repro.trace`` tombstone and
-the spec-required experiment entry points.
+"""Tests for the removed legacy APIs: the spec-required experiment
+entry points.
 
-The shims that used to live here have expired: ``repro.trace`` now
-raises at import with a migration map, and ``run_figN`` rejects every
-pre-spec calling convention through
+``run_figN`` rejects every pre-spec calling convention through
 :func:`repro.experiments._deprecation.require_spec`.
 """
-
-import importlib
-import subprocess
-import sys
 
 import pytest
 
@@ -18,52 +12,6 @@ from repro.experiments._deprecation import (
     LegacyCallError,
     reject_legacy_call,
 )
-
-
-# ----------------------------------------------------------------------
-# repro.trace tombstone
-# ----------------------------------------------------------------------
-def test_import_repro_trace_raises_with_migration_map():
-    with pytest.raises(ModuleNotFoundError) as excinfo:
-        importlib.import_module("repro.trace")
-    message = str(excinfo.value)
-    assert "repro.trace was removed" in message
-    assert "repro.obs.monitors" in message
-    assert "repro.obs.trace" in message
-    assert "repro.traces" in message
-    assert "docs/TRACES.md" in message
-
-
-def test_import_repro_trace_fails_in_a_fresh_interpreter():
-    """The acceptance check, verbatim: ``import repro.trace`` fails."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import repro.trace"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "repro.trace was removed" in proc.stderr
-
-
-def test_no_in_tree_module_imports_the_tombstone():
-    """Nothing under repro/ may import repro.trace (repro.traces is the
-    new pipeline; repro.obs.trace is the tracer's canonical home)."""
-    import re
-    from pathlib import Path
-
-    import repro
-
-    root = Path(repro.__file__).parent
-    pattern = re.compile(
-        r"^\s*(?:from\s+repro\.trace\s+import|import\s+repro\.trace(?:\s|$))",
-        re.MULTILINE,
-    )
-    offenders = [
-        str(path)
-        for path in root.rglob("*.py")
-        if path.name != "trace.py" and pattern.search(path.read_text())
-    ]
-    assert offenders == []
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,23 @@ resumed with ``sim.sanitize = True``.
 
 import dataclasses
 import heapq
+from bisect import insort
 
 import pytest
 
+from repro.app.bulk import BulkTransfer
+from repro.core.pr import PrConfig
 from repro.experiments.runner import build_fairness_scenario, run_fairness_scenario
 from repro.net.network import Network, install_static_routes
 from repro.sim.errors import InvariantViolation
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.registry import make_sender
+from repro.topologies.multipath_mesh import (
+    MultipathMeshSpec,
+    install_epsilon_routing,
+)
+
+from conftest import make_reordering_flow
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +64,42 @@ def test_fairness_cell_runs_clean_under_sanitizer():
     scenario.network.sim.sanitize = True
     result = run_fairness_scenario(scenario, duration=15.0, measure_window=10.0)
     assert result.mean_normalized  # completed and produced metrics
+
+
+def _multipath_cell():
+    """The ε-multipath Figure 6 TCP-PR cell: data and ACKs reordered."""
+    network = MultipathMeshSpec(link_delay=0.01, seed=0).build().network
+    install_epsilon_routing(network, epsilon=0.01, reorder_acks=True)
+    flow = BulkTransfer(network, "tcp-pr", "src", "dst", flow_id=1)
+    network.sim.sanitize = True
+    network.run(until=3.0)
+    assert flow.delivered_bytes() > 0
+
+
+def _beta1_reordering_flow():
+    """beta=1 over two paths: spurious declarations, some cancelled."""
+    net, sender, _ = make_reordering_flow(
+        pr_config=PrConfig(beta=1.0, initial_ssthresh=64)
+    )
+    net.sim.sanitize = True
+    net.run(until=10.0)
+    stats = sender.stats
+    assert stats.spurious_drops > 0
+    # Each declaration is resent, cancelled or still pending: never two.
+    assert stats.drops_detected == (
+        stats.retransmits + stats.spurious_drops + len(sender.to_be_sent)
+    )
+
+
+@pytest.mark.parametrize(
+    "run_cell",
+    [_multipath_cell, _beta1_reordering_flow],
+    ids=["fig6-multipath", "beta1-reordering"],
+)
+def test_reordered_cell_runs_clean_under_sanitizer(run_cell):
+    """Out-of-order and stale lower ACKs keep every list at or above
+    cum_ack (pr-window-floor) and the lists disjoint."""
+    run_cell()
 
 
 def test_sanitizer_does_not_perturb_results():
@@ -90,10 +135,26 @@ def _corrupt_and_resume(corrupt):
 
 def test_detects_list_overlap():
     def corrupt(net, sender):
-        # Highest in-flight seq: survives lower-seq ACKs uncancelled.
-        sender._retx_pending.add(max(sender.to_be_ack))
+        # Highest in-flight seq: survives lower-seq ACKs uncancelled,
+        # and the flight exceeds cwnd at 1 s, so no flush resends it
+        # before the next check.
+        insort(sender.to_be_sent, max(sender.to_be_ack))
 
     assert _corrupt_and_resume(corrupt).invariant == "pr-list-disjoint"
+
+
+@pytest.mark.parametrize("listed_in", ["to_be_ack", "to_be_sent"])
+def test_detects_entry_below_cumulative_ack(listed_in):
+    def corrupt(net, sender):
+        # An entry the cumulative range scan (which starts at cum_ack)
+        # can never reach again.
+        seq = sender.cum_ack - 1
+        if listed_in == "to_be_ack":
+            sender.to_be_ack[seq] = sender.to_be_ack[max(sender.to_be_ack)]
+        else:
+            insort(sender.to_be_sent, seq)
+
+    assert _corrupt_and_resume(corrupt).invariant == "pr-window-floor"
 
 
 def test_detects_memorize_stray():

@@ -4,37 +4,9 @@ import pytest
 
 from repro.core.pr import CONG_AVOID, SLOW_START, PrConfig
 from repro.net.lossgen import BernoulliLoss, DeterministicLoss
-from repro.net.network import Network, install_static_routes
-from repro.routing.multipath import EpsilonMultipathPolicy
-from repro.tcp.receiver import TcpReceiver
 from repro.core import TcpPrSender
 
-from conftest import make_flow
-
-
-def make_reordering_flow(pr_config=None, seed=0, paths=2, bandwidth=1e7):
-    """A TCP-PR flow over two disjoint paths with ε=0 routing.
-
-    The paths have different propagation delays, so per-packet random
-    path choice persistently reorders both data and ACKs — the paper's
-    core scenario — without any packet loss (queues are deep).
-    """
-    net = Network(seed=seed)
-    net.add_nodes("snd", "rcv")
-    for k in range(paths):
-        mids = [f"p{k}m{i}" for i in range(k + 1)]
-        for m in mids:
-            net.add_node(m)
-        chain = ["snd", *mids, "rcv"]
-        for u, v in zip(chain, chain[1:]):
-            net.add_duplex_link(u, v, bandwidth=bandwidth, delay=0.01, queue=10_000)
-    install_static_routes(net)
-    EpsilonMultipathPolicy(net, "snd", epsilon=0.0, destinations=["rcv"]).install()
-    EpsilonMultipathPolicy(net, "rcv", epsilon=0.0, destinations=["snd"]).install()
-    sender = TcpPrSender(net.sim, net.node("snd"), 1, "rcv", pr_config)
-    receiver = TcpReceiver(net.sim, net.node("rcv"), 1, "snd")
-    sender.start(0.0)
-    return net, sender, receiver
+from conftest import make_flow, make_reordering_flow
 
 
 # ----------------------------------------------------------------------
@@ -323,21 +295,6 @@ def test_extreme_disabled_by_config():
     )
     flow.run(until=20.0)
     assert flow.sender.stats.extreme_events == 0
-
-
-# ----------------------------------------------------------------------
-# Spurious-drop cancellation
-# ----------------------------------------------------------------------
-def test_sack_cancels_pending_retransmissions():
-    """A straggler declared dropped but then SACKed must not be resent
-    (if the SACK arrives before the retransmission goes out)."""
-    net, sender, receiver = make_reordering_flow(
-        pr_config=PrConfig(beta=1.0, initial_ssthresh=64)
-    )
-    net.run(until=10.0)
-    # With beta=1 spurious declarations happen; some get cancelled.
-    assert sender.stats.spurious_drops >= 0
-    assert sender.stats.drops_detected >= sender.stats.retransmits
 
 
 def test_flight_invariant_holds_throughout_run():

@@ -155,6 +155,61 @@ def test_pr_snapshot_excludes_dropped_packet():
     assert 2 not in sender.memorize
 
 
+@pytest.mark.parametrize(
+    "ack, sack_blocks", [(0, [(1, 2)]), (2, None)], ids=["sack", "cumulative"]
+)
+def test_pr_ack_cancels_pending_retransmission(ack, sack_blocks):
+    """A declared drop the receiver turns out to hold leaves to-be-sent,
+    counts once as spurious, and is never resent."""
+    net, sender = _harness(TcpPrSender, config=PrConfig(initial_cwnd=4.0))
+    sender.start(0.0)
+    net.run(until=0.0)  # sends 0..3
+    net.sim.now = 0.03
+    # cwnd 4 -> 2 with 0, 2 and 3 still in flight: the resend must wait.
+    sender._declare_drop(1)
+    assert sender.to_be_sent == [1]
+    sender.receive(_ack(ack, sack_blocks=sack_blocks))
+    assert sender.to_be_sent == []
+    assert sender.stats.spurious_drops == 1
+    net.sim.now = 0.06
+    sender.receive(_ack(4))  # acks the rest; the window reopens
+    sender.receive(_ack(sender.snd_nxt))
+    assert sender.stats.spurious_drops == 1
+    assert sender.stats.retransmits == 0
+    assert sender.stats.data_packets_sent == sender.snd_nxt
+    assert 1 not in sender.to_be_ack
+
+
+def test_pr_karn_rule_skips_retransmitted_samples():
+    """The ACK of a retransmission leaves ewrtt alone (its RTT sample is
+    ambiguous); the ACK of a fresh segment updates it."""
+    net, sender = _harness(TcpPrSender)
+    sender.start(0.0)
+    net.run(until=0.0)  # sends 0
+    net.sim.now = 0.05
+    sender.receive(_ack(1))  # fresh: ewrtt = 0.05; cwnd 2 sends 1, 2
+    assert sorted(sender.to_be_ack) == [1, 2]
+    net.sim.now = 0.06
+    sender._declare_drop(2)  # cwnd 2 -> 1; 1 still fills the window
+    net.sim.now = 0.07
+    sender.receive(_ack(2))  # acks 1; the window reopens and 2 is resent
+    assert sender.stats.retransmits == 1
+    assert sender.to_be_ack[2][4], "the resend carries the Karn flag"
+    samples, ewrtt = sender.estimator.samples, sender.ewrtt
+    net.sim.now = 0.5  # a long, ambiguous "RTT" for the resent 2
+    sender.receive(_ack(3))
+    assert sender.estimator.samples == samples
+    assert sender.ewrtt == ewrtt
+    sent_time, _, _, _, retransmitted = sender.to_be_ack[3]
+    assert not retransmitted  # 3 went out fresh
+    net.sim.now = 0.6
+    sender.receive(_ack(4))
+    assert sender.estimator.samples == samples + 1
+    # Max-tracking: the longer fresh sample becomes the new ewrtt.
+    assert sender.ewrtt == pytest.approx(0.6 - sent_time)
+    assert sender.ewrtt > ewrtt
+
+
 def test_pr_zero_rtt_sample_does_not_deadlock():
     """Regression: a degenerate zero-RTT sample once made mxrtt = 0 and
     spun the declare/retransmit loop at a single timestamp forever.  The
